@@ -18,30 +18,40 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 
-/// Times `f` (which must consume a fresh input from `setup` per iteration)
-/// and prints a `name: mean ± spread` line.
-fn bench<I, O>(name: &str, mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> O) {
+/// Upper bound on iterations per batch: every batch keeps its inputs and
+/// outputs alive until the timer stops, so this bounds the memory held.
+const MAX_PER_BATCH: u64 = 100_000;
+
+/// Times `f` on a fresh input from `setup` per iteration and prints a
+/// `name: median (spread)` line. Inputs are built before the timer starts,
+/// and inputs and outputs are dropped after it stops, so only `f` itself
+/// is timed — never setup or teardown.
+fn bench<I, O>(name: &str, mut setup: impl FnMut() -> I, mut f: impl FnMut(&mut I) -> O) {
     // Warm-up: discover a per-iteration cost and heat caches.
     let warm_start = Instant::now();
     let mut iters: u64 = 0;
     while warm_start.elapsed() < WARMUP {
-        let input = setup();
-        std::hint::black_box(f(std::hint::black_box(input)));
+        let mut input = setup();
+        std::hint::black_box(f(std::hint::black_box(&mut input)));
         iters += 1;
     }
     let per_batch =
         (iters.max(1) * MEASURE.as_micros() as u64 / WARMUP.as_micros() as u64 / BATCHES as u64)
-            .max(1);
+            .clamp(1, MAX_PER_BATCH);
 
     let mut means = Vec::with_capacity(BATCHES);
     for _ in 0..BATCHES {
-        // Build inputs outside the timed region (criterion's iter_batched).
-        let inputs: Vec<I> = (0..per_batch).map(|_| setup()).collect();
+        let mut inputs: Vec<I> = (0..per_batch).map(|_| setup()).collect();
+        let mut outputs: Vec<O> = Vec::with_capacity(per_batch as usize);
         let start = Instant::now();
-        for input in inputs {
-            std::hint::black_box(f(std::hint::black_box(input)));
+        for input in &mut inputs {
+            outputs.push(f(std::hint::black_box(input)));
         }
-        means.push(start.elapsed().as_secs_f64() / per_batch as f64);
+        let elapsed = start.elapsed();
+        std::hint::black_box(&outputs);
+        drop(outputs);
+        drop(inputs);
+        means.push(elapsed.as_secs_f64() / per_batch as f64);
     }
     means.sort_by(|a, b| a.total_cmp(b));
     let mid = means[BATCHES / 2];
@@ -117,12 +127,12 @@ fn bench_cim() {
         bench(
             &format!("exact_hit_{n}_entries"),
             || populated_cim(n, false),
-            |mut cim| cim.lookup(&hit_call, SimInstant::EPOCH),
+            |cim| cim.lookup(&hit_call, SimInstant::EPOCH),
         );
         bench(
             &format!("miss_with_invariants_{n}_entries"),
             || populated_cim(n, true),
-            |mut cim| cim.lookup(&miss_call, SimInstant::EPOCH),
+            |cim| cim.lookup(&miss_call, SimInstant::EPOCH),
         );
         let wide = GroundCall::new(
             "video",
@@ -132,7 +142,7 @@ fn bench_cim() {
         bench(
             &format!("partial_hit_{n}_entries"),
             || populated_cim(n, true),
-            |mut cim| cim.lookup(&wide, SimInstant::EPOCH),
+            |cim| cim.lookup(&wide, SimInstant::EPOCH),
         );
     }
 }
@@ -230,6 +240,8 @@ fn bench_rewriter() {
 }
 
 fn bench_executor() {
+    use hermes_common::sync::Mutex;
+    use hermes_common::SimClock;
     use hermes_core::{ExecConfig, Executor, Mediator};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_net::{profiles, Network};
@@ -238,7 +250,7 @@ fn bench_executor() {
     println!("executor:");
     // Wall-clock cost of running a fully-cached query: the real overhead a
     // mediator adds once the network is out of the picture.
-    let mut m = {
+    let m = {
         let d = SyntheticDomain::generate("d1", 3, &[RelationSpec::uniform("p", 20, 4.0)]);
         let mut net = Network::new(3);
         net.place(Arc::new(d), profiles::maryland());
@@ -249,25 +261,24 @@ fn bench_executor() {
         )
         .unwrap()
     };
-    let planned = m.plan("?- p('p_3', B).").unwrap();
-    let plan = planned.plan().clone();
-    // Warm the cache.
-    m.query("?- p('p_3', B).").unwrap();
+    let plan = m.plan("?- p('p_3', B).").unwrap().plan().clone();
     let network = m.network();
-    // Raw CIM handle: this micro-bench drives Executor directly, bypassing
-    // the mediator (and thus the caches() facade) on purpose.
-    #[allow(deprecated)]
-    let cim = m.cim();
-    let dcsm = m.dcsm();
+    // This case drives the executor directly over its own caches, warmed
+    // by one full run of the plan.
+    let cim = Mutex::new(Cim::new());
+    let dcsm = Mutex::new(Dcsm::new());
+    Executor::new(network, &cim, &dcsm, SimClock::new(), ExecConfig::default())
+        .run(&plan, None)
+        .unwrap();
     bench(
         "cached_query_wall_time",
         || (),
         |_| {
             Executor::new(
                 network,
-                cim.as_ref(),
-                dcsm.as_ref(),
-                hermes_common::SimClock::new(),
+                &cim,
+                &dcsm,
+                SimClock::new(),
                 ExecConfig::builder().record_stats(false).build(),
             )
             .run(&plan, None)

@@ -42,6 +42,7 @@ pub mod exec;
 pub mod flight;
 pub mod matcache;
 pub mod mediator;
+mod pipeline;
 pub mod plan;
 pub mod rewrite;
 pub mod serve;

@@ -2,16 +2,15 @@
 
 use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
-use crate::cost::{choose_plan, estimate_plan, CostConfig};
+use crate::cost::{estimate_plan, CostConfig};
 use crate::cursor::InteractiveQuery;
-use crate::exec::{ExecConfig, ExecOutcome, ExecStats, Executor, SubgoalProvenance};
+use crate::exec::{ExecConfig, ExecStats, SubgoalProvenance};
 use crate::matcache::MatCache;
-use crate::plan::{Plan, PlanStep};
-use crate::rewrite::{
-    cache_servable_plans, enumerate_plans_with_pushdowns, PushdownRule, RewriteConfig,
-};
-use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
-use crate::trace::{TraceEntry, TraceEvent};
+use crate::pipeline::Pipeline;
+use crate::plan::Plan;
+use crate::rewrite::{PushdownRule, RewriteConfig};
+use crate::server::AdmissionGate;
+use crate::tier::PlanTier;
 use hermes_analysis::{AnalysisReport, Analyzer, Diagnostic, QueryForm};
 use hermes_cim::{Cim, CimPolicy, RoutingDecision};
 use hermes_common::sync::Mutex;
@@ -19,7 +18,6 @@ use hermes_common::{HermesError, Result, SimClock, SimDuration, Value};
 use hermes_dcsm::{CostVector, Dcsm};
 use hermes_lang::{parse_program, parse_query, validate_program, Program, Query};
 use hermes_net::Network;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Mediator-wide configuration.
@@ -243,6 +241,9 @@ pub struct Mediator {
     /// verdicts are tagged with it, so a `register_program` or routing
     /// change triggers a verdict refresh before the next sharing query.
     cache_epoch: u64,
+    /// Always unbounded: the serial mediator serves one caller and never
+    /// sheds.
+    gate: AdmissionGate,
 }
 
 impl Mediator {
@@ -262,6 +263,7 @@ impl Mediator {
             analysis_warnings: Vec::new(),
             matcache: Arc::new(MatCache::default()),
             cache_epoch: 0,
+            gate: AdmissionGate::unbounded(),
         })
     }
 
@@ -277,7 +279,7 @@ impl Mediator {
     /// on success warning-severity findings are stored and queryable via
     /// [`Mediator::analysis_warnings`].
     pub fn register_program(&mut self, program: Program, query_forms: &[QueryForm]) -> Result<()> {
-        let report = self.analyze_program(&program, query_forms);
+        let report = self.analyze_program(&program, query_forms, false);
         if report.has_errors() {
             return Err(HermesError::Analysis {
                 diagnostics: report.diagnostics.iter().map(|d| d.to_string()).collect(),
@@ -296,22 +298,7 @@ impl Mediator {
 
     /// Runs the analyzer over the *active* program without changing it.
     pub fn analyze(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        self.analyze_program(&self.program, query_forms)
-    }
-
-    fn analyze_program(&self, program: &Program, query_forms: &[QueryForm]) -> AnalysisReport {
-        let cim = self.cim.lock();
-        let dcsm = self.dcsm.lock();
-        let routes = |domain: &str, function: &str| {
-            self.policy.decide(domain, function) == RoutingDecision::UseCim
-        };
-        Analyzer::new(program)
-            .with_registry(self.network.registry())
-            .with_invariant_store(cim.invariants())
-            .with_dcsm(&dcsm)
-            .with_query_forms(query_forms.iter().cloned())
-            .with_cache_routing(&routes)
-            .analyze()
+        self.analyze_program(&self.program, query_forms, false)
     }
 
     /// Runs the analyzer over the active program with the
@@ -322,37 +309,37 @@ impl Mediator {
     /// invalidation path, so its answers may go stale unnoticed). This is
     /// what the REPL's `:materialize` command prints.
     pub fn analyze_materialization(&self, query_forms: &[QueryForm]) -> AnalysisReport {
+        self.analyze_program(&self.program, query_forms, true)
+    }
+
+    fn analyze_program(
+        &self,
+        program: &Program,
+        query_forms: &[QueryForm],
+        materialization: bool,
+    ) -> AnalysisReport {
         let cim = self.cim.lock();
         let dcsm = self.dcsm.lock();
         let routes = |domain: &str, function: &str| {
             self.policy.decide(domain, function) == RoutingDecision::UseCim
         };
-        Analyzer::new(&self.program)
+        let analyzer = Analyzer::new(program)
             .with_registry(self.network.registry())
             .with_invariant_store(cim.invariants())
             .with_dcsm(&dcsm)
             .with_query_forms(query_forms.iter().cloned())
-            .with_cache_routing(&routes)
-            .with_materialization()
-            .analyze()
+            .with_cache_routing(&routes);
+        if materialization {
+            analyzer.with_materialization().analyze()
+        } else {
+            analyzer.analyze()
+        }
     }
 
     /// Warning-severity findings from the most recent
     /// [`Mediator::register_program`] run.
     pub fn analysis_warnings(&self) -> &[Diagnostic] {
         &self.analysis_warnings
-    }
-
-    /// Replaces the CIM routing policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `caches().policy().routing(..).apply()` — the unified \
-                cache-control facade keeps the subplan cache's safety \
-                verdicts in sync with routing changes"
-    )]
-    pub fn set_policy(&mut self, policy: CimPolicy) {
-        self.policy = policy;
-        self.cache_epoch += 1;
     }
 
     /// The unified cache-control facade over both cache tiers (the CIM's
@@ -383,17 +370,6 @@ impl Mediator {
     /// The configuration.
     pub fn config(&self) -> &MediatorConfig {
         &self.config
-    }
-
-    /// The shared CIM (cache + invariants). Add invariants through this.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `caches()` for stats/invariants/invalidation/budgets; \
-                raw CIM access bypasses the facade and the subplan cache's \
-                per-source invalidation scope"
-    )]
-    pub fn cim(&self) -> Arc<Mutex<Cim>> {
-        self.cim.clone()
     }
 
     /// The shared DCSM (statistics cache).
@@ -438,33 +414,7 @@ impl Mediator {
 
     /// Plans a pre-parsed query.
     pub fn plan_query(&self, query: &Query) -> Result<Planned> {
-        self.check_mixed_definitions(query)?;
-        let plans = enumerate_plans_with_pushdowns(
-            &self.program,
-            query,
-            &self.policy,
-            self.config.rewrite,
-            &self.pushdowns,
-        )?;
-        let dcsm = self.dcsm.lock();
-        let (chosen, estimates) = choose_plan(
-            &plans,
-            &*dcsm,
-            &self.config.cost,
-            self.config.optimize_first_answer,
-        );
-        Ok(Planned {
-            plans,
-            estimates,
-            chosen,
-        })
-    }
-
-    /// Predicates defined by both facts and rules have ambiguous
-    /// access-path semantics — reject them with a clear message instead of
-    /// silently finding no plan.
-    fn check_mixed_definitions(&self, _query: &Query) -> Result<()> {
-        check_mixed_definitions(&self.program)
+        self.pipeline().plan_query(query)
     }
 
     /// Runs a query. Accepts plain source text (all-answers mode, §3) or
@@ -476,102 +426,39 @@ impl Mediator {
     /// ```
     ///
     /// Request options override the mediator's configuration for this run
-    /// only; the configuration is restored before returning.
+    /// only; the configuration itself is never changed.
     pub fn query(&mut self, req: impl Into<QueryRequest>) -> Result<QueryResult> {
         let req = req.into();
-        let saved = self.config;
-        if let Some(d) = req.deadline {
-            self.config.exec.deadline = Some(d);
-        }
-        if let Some(t) = req.trace {
-            self.config.exec.collect_trace = t;
-        }
-        if let Some(k) = req.parallelism {
-            self.config.exec.max_parallel_calls = k;
-            self.config.cost.max_parallel_calls = k;
-            self.config.rewrite.favor_parallel = k > 1;
-        }
-        if let Some(b) = req.budget {
-            self.config.exec.budget = Some(b);
-        }
-        let result = (|| {
-            let mut planned = match &req.bindings {
-                Some(params) => {
-                    let query = parse_query(&req.src)?;
-                    let bound = crate::rewrite::bind_query(&query, params);
-                    self.plan_query(&bound)?
-                }
-                None => self.plan(&req.src)?,
-            };
-            // The serial mediator has no admission gate, so the selector
-            // sees an unbounded, unloaded one.
-            let decision = self.select_query_tier(&req, &mut planned, TierLoad::unbounded());
-            if let Some(d) = decision {
-                self.config.exec.tier = d.tier;
-            }
-            let selected_at = self.clock.now();
-            let mut result = self.execute(planned, req.limit)?;
-            if let Some(d) = decision {
-                if d.reason != TierReason::Default && self.config.exec.collect_trace {
-                    result.trace.insert(
-                        0,
-                        TraceEntry {
-                            at: selected_at,
-                            event: TraceEvent::TierSelected {
-                                tier: d.tier,
-                                reason: d.reason,
-                            },
-                        },
-                    );
-                }
-            }
-            Ok(result)
-        })();
-        self.config = saved;
-        result
+        self.run(|pipeline, clock| pipeline.query(&req, clock).map(|(result, _)| result))
     }
 
-    /// Runs the deterministic tier selector for this request, when
-    /// engaged — by [`MediatorConfig::adaptive_tiers`], an explicit
-    /// `QueryRequest::tier`, or a budget. Returns `None` on the default
-    /// path, which therefore stays bit-identical to the paper-exact
-    /// behavior. A `CacheOnly` decision also re-points `planned.chosen`
-    /// at the cheapest plan whose every call is CIM-routed, when one
-    /// exists: a Direct-routed call can never be cache-served.
-    fn select_query_tier(
-        &self,
-        req: &QueryRequest,
-        planned: &mut Planned,
-        load: TierLoad,
-    ) -> Option<TierDecision> {
-        let engaged =
-            self.config.adaptive_tiers || req.tier.is_some() || self.config.exec.budget.is_some();
-        if !engaged {
-            return None;
+    /// The query pipeline over this mediator's state: its locked caches,
+    /// no single-flight registry, and an unbounded gate.
+    fn pipeline(&self) -> Pipeline<'_> {
+        Pipeline {
+            program: &self.program,
+            policy: &self.policy,
+            pushdowns: &self.pushdowns,
+            config: self.config,
+            network: &self.network,
+            cim: self.cim.as_ref(),
+            dcsm: self.dcsm.as_ref(),
+            breakers: &self.breakers,
+            flight: None,
+            matcache: &self.matcache,
+            gate: &self.gate,
         }
-        let plan_sites = self.plan_sites(planned.plan());
-        let open = self.breakers.lock().open_sites(self.clock.now());
-        let decision = select_tier(&TierInputs {
-            requested: req.tier,
-            budget: self.config.exec.budget,
-            estimate_ms: planned.estimate().t_all_ms.unwrap_or(0.0),
-            plan_site_breaker_open: open.iter().any(|s| plan_sites.contains(s.as_ref())),
-            load,
-        });
-        if decision.tier == PlanTier::CacheOnly {
-            let servable = cache_servable_plans(&planned.plans);
-            if !servable.is_empty() && !servable.contains(&planned.chosen) {
-                planned.chosen = servable
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let ta = planned.estimates[a].t_all_ms.unwrap_or(f64::INFINITY);
-                        let tb = planned.estimates[b].t_all_ms.unwrap_or(f64::INFINITY);
-                        ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("servable is non-empty");
-            }
-        }
-        Some(decision)
+    }
+
+    /// Runs `f` over the pipeline on the persistent clock, which keeps the
+    /// time the run spent whether it succeeded or not. The subplan
+    /// verdicts are brought up to date first.
+    fn run<T>(&mut self, f: impl FnOnce(&Pipeline<'_>, &mut SimClock) -> Result<T>) -> Result<T> {
+        self.refresh_subplan_verdicts();
+        let mut clock = self.clock.clone();
+        let result = f(&self.pipeline(), &mut clock);
+        self.clock = clock;
+        result
     }
 
     /// Splits this mediator into a shared-state concurrent server: the
@@ -585,9 +472,7 @@ impl Mediator {
         // The concurrent server's planning core is immutable, so its
         // safety verdicts are fixed here, once, from the program and
         // routing policy it is born with.
-        if self.config.exec.share_subplans {
-            self.refresh_subplan_verdicts();
-        }
+        self.refresh_subplan_verdicts();
         crate::server::ConcurrentMediator::from_parts(
             self.program.clone(),
             self.policy.clone(),
@@ -602,12 +487,14 @@ impl Mediator {
         )
     }
 
-    /// Recomputes and installs the matcache's HA070/HA074 safety verdicts
-    /// when the installed ones no longer describe the current
-    /// program/policy state. Cheap when current (one epoch compare); a
-    /// flat classification pass when stale.
+    /// With subplan sharing on, recomputes and installs the matcache's
+    /// HA070/HA074 safety verdicts when the installed ones no longer
+    /// describe the current program/policy state. Cheap when current (one
+    /// epoch compare); a flat classification pass when stale.
     fn refresh_subplan_verdicts(&self) {
-        if self.matcache.verdicts_epoch() == Some(self.cache_epoch) {
+        if !self.config.exec.share_subplans
+            || self.matcache.verdicts_epoch() == Some(self.cache_epoch)
+        {
             return;
         }
         let routes = |domain: &str, function: &str| {
@@ -628,93 +515,7 @@ impl Mediator {
     /// is executed instead; answers the failed attempt already cached are
     /// reused, so replanning resumes rather than restarts.
     pub fn execute(&mut self, planned: Planned, limit: Option<usize>) -> Result<QueryResult> {
-        if self.config.exec.share_subplans {
-            self.refresh_subplan_verdicts();
-        }
-        let mut idx = planned.chosen;
-        let mut avoid: BTreeSet<String> = BTreeSet::new();
-        let mut failovers = 0u32;
-        // Counters from plan attempts that died mid-run; folded into the
-        // final result so the query's cost accounting stays honest.
-        let mut carried = ExecStats::default();
-        loop {
-            let plan = planned.plans[idx].clone();
-            let estimate = planned.estimates[idx];
-            let mut executor = Executor::new(
-                &self.network,
-                self.cim.as_ref(),
-                self.dcsm.as_ref(),
-                self.clock.clone(),
-                self.config.exec,
-            )
-            .with_breakers(&self.breakers);
-            if self.config.exec.share_subplans {
-                executor = executor.with_matcache(&self.matcache);
-            }
-            let attempt = executor.run(&plan, limit);
-            // The attempt's virtual time is real whether it succeeded or
-            // not: a failover resumes *after* the retries the dead plan
-            // burned, it does not rewind them.
-            self.clock.advance_to(executor.now());
-            match attempt {
-                Ok(outcome) => {
-                    self.clock = outcome.clock.clone();
-                    let mut result = project(plan, estimate, planned.plans.len(), outcome);
-                    result.failovers = failovers;
-                    result.stats.absorb(&carried);
-                    return Ok(result);
-                }
-                Err(HermesError::Unavailable { site, reason }) if self.config.failover => {
-                    carried.absorb(&executor.stats());
-                    // A site can only fail over once; seeing it again means
-                    // no alternative exists and the outage is final.
-                    if !avoid.insert(site.clone()) {
-                        return Err(HermesError::Unavailable { site, reason });
-                    }
-                    match self.failover_choice(&planned, &avoid) {
-                        Some(next) => {
-                            failovers += 1;
-                            idx = next;
-                        }
-                        None => return Err(HermesError::Unavailable { site, reason }),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The sites a plan's call steps touch.
-    fn plan_sites(&self, plan: &Plan) -> BTreeSet<String> {
-        let mut sites = BTreeSet::new();
-        for step in &plan.steps {
-            if let PlanStep::Call { call, .. } = step {
-                if let Ok(site) = self.network.site_of(&call.domain) {
-                    sites.insert(site.name.to_string());
-                }
-            }
-        }
-        sites
-    }
-
-    /// The cheapest plan (under current statistics) touching none of the
-    /// sites in `avoid`, if any.
-    fn failover_choice(&self, planned: &Planned, avoid: &BTreeSet<String>) -> Option<usize> {
-        let eligible: Vec<usize> = (0..planned.plans.len())
-            .filter(|&i| self.plan_sites(&planned.plans[i]).is_disjoint(avoid))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
-        let dcsm = self.dcsm.lock();
-        let (chosen, _) = choose_plan(
-            &candidates,
-            &*dcsm,
-            &self.config.cost,
-            self.config.optimize_first_answer,
-        );
-        Some(eligible[chosen])
+        self.run(|pipeline, clock| pipeline.execute(planned, limit, clock))
     }
 
     /// Starts a query in interactive mode (§3): answers stream on demand;
@@ -784,57 +585,6 @@ impl Mediator {
     }
 }
 
-/// Rejects programs where a predicate mixes fact and rule definitions
-/// (ambiguous access-path semantics).
-pub(crate) fn check_mixed_definitions(program: &Program) -> Result<()> {
-    for key in program.defined_predicates() {
-        let rules = program.rules_for(&key.0, key.1);
-        let facts = rules.iter().filter(|r| r.body.is_empty()).count();
-        if facts > 0 && facts < rules.len() {
-            return Err(HermesError::Plan(format!(
-                "predicate `{}/{}` mixes facts and rules; define it by \
-                 facts only or by access-path rules only",
-                key.0, key.1
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Projects an execution outcome onto a plan's answer variables.
-pub(crate) fn project(
-    plan: Plan,
-    estimate: CostVector,
-    plans_considered: usize,
-    outcome: ExecOutcome,
-) -> QueryResult {
-    let columns = plan.answer_vars.clone();
-    let rows = outcome
-        .answers
-        .iter()
-        .map(|theta| {
-            columns
-                .iter()
-                .map(|v| theta.get(v).cloned().unwrap_or(Value::Null))
-                .collect()
-        })
-        .collect();
-    QueryResult {
-        columns,
-        rows,
-        t_first: outcome.t_first,
-        t_all: outcome.t_all,
-        plan,
-        estimate,
-        plans_considered,
-        stats: outcome.stats,
-        incomplete: outcome.incomplete,
-        provenance: outcome.provenance,
-        failovers: 0,
-        trace: outcome.trace,
-    }
-}
-
 impl std::fmt::Debug for Mediator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mediator")
@@ -847,6 +597,8 @@ impl std::fmt::Debug for Mediator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::TierReason;
+    use crate::trace::TraceEvent;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_domains::Domain;
     use hermes_net::profiles;

@@ -18,6 +18,11 @@
 //! `Send + Sync`: wrap it in an `Arc` and call it from as many client
 //! threads as you like.
 //!
+//! Planning, tier selection, admission, and failover are not repeated
+//! here: both mediators run the one query pipeline (`pipeline.rs`), and
+//! this server lends it the sharded caches, the single-flight registry,
+//! its admission gate, and a per-query clock.
+//!
 //! ## Virtual time under concurrency
 //!
 //! Each query runs on its own virtual clock, started at the server-wide
@@ -28,26 +33,18 @@
 
 use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
-use crate::cost::choose_plan;
-use crate::exec::{ExecStats, Executor};
 use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
-use crate::mediator::{
-    check_mixed_definitions, project, MediatorConfig, Planned, QueryRequest, QueryResult,
-};
-use crate::plan::{Plan, PlanStep};
-use crate::rewrite::{
-    bind_query, cache_servable_plans, enumerate_plans_with_pushdowns, PushdownRule,
-};
-use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
-use crate::trace::{TraceEntry, TraceEvent};
+use crate::mediator::{MediatorConfig, QueryRequest, QueryResult};
+use crate::pipeline::Pipeline;
+use crate::rewrite::PushdownRule;
+use crate::tier::{PlanTier, TierLoad};
 use hermes_cim::{CimPolicy, ShardedCim};
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimClock, SimDuration, SimInstant};
 use hermes_dcsm::ShardedDcsm;
-use hermes_lang::{parse_query, Program, Query};
+use hermes_lang::Program;
 use hermes_net::Network;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -141,42 +138,24 @@ impl GateConfig {
 /// the query starts. A query whose tier budget is full falls to the next
 /// cheaper tier with room (a gate-forced downgrade) and is shed only when
 /// every tier down to `CacheOnly` is saturated.
-#[derive(Debug)]
-struct AdmissionGate {
+#[derive(Debug, Default)]
+pub(crate) struct AdmissionGate {
     capacity: AtomicUsize,
-    /// Indexed by tier: 0 = CacheOnly, 1 = CachedPlusCheapRemote, 2 = Full.
+    /// Indexed by `PlanTier as usize`: 0 = CacheOnly,
+    /// 1 = CachedPlusCheapRemote, 2 = Full.
     tier_slots: [AtomicUsize; 3],
     in_flight: AtomicUsize,
     tier_in_flight: [AtomicUsize; 3],
 }
 
-fn tier_index(tier: PlanTier) -> usize {
-    match tier {
-        PlanTier::CacheOnly => 0,
-        PlanTier::CachedPlusCheapRemote => 1,
-        PlanTier::Full => 2,
-    }
-}
-
 impl AdmissionGate {
-    fn unbounded() -> Self {
-        AdmissionGate {
-            capacity: AtomicUsize::new(usize::MAX),
-            tier_slots: [
-                AtomicUsize::new(usize::MAX),
-                AtomicUsize::new(usize::MAX),
-                AtomicUsize::new(usize::MAX),
-            ],
-            in_flight: AtomicUsize::new(0),
-            tier_in_flight: [
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-            ],
-        }
+    pub(crate) fn unbounded() -> Self {
+        let gate = AdmissionGate::default();
+        gate.set(GateConfig::default());
+        gate
     }
 
-    fn set(&self, config: GateConfig) {
+    pub(crate) fn set(&self, config: GateConfig) {
         self.capacity.store(config.capacity, Ordering::Relaxed);
         self.tier_slots[0].store(config.cache_only_slots, Ordering::Relaxed);
         self.tier_slots[1].store(config.cached_cheap_slots, Ordering::Relaxed);
@@ -185,7 +164,7 @@ impl AdmissionGate {
 
     /// True when any axis is finite — only then does the gate engage the
     /// tier selector on the default path.
-    fn is_bounded(&self) -> bool {
+    pub(crate) fn is_bounded(&self) -> bool {
         self.capacity.load(Ordering::Relaxed) != usize::MAX
             || self
                 .tier_slots
@@ -194,7 +173,7 @@ impl AdmissionGate {
     }
 
     /// The load the tier selector sees.
-    fn load(&self) -> TierLoad {
+    pub(crate) fn load(&self) -> TierLoad {
         TierLoad {
             in_flight: self.in_flight.load(Ordering::Relaxed),
             capacity: self.capacity.load(Ordering::Relaxed),
@@ -202,7 +181,7 @@ impl AdmissionGate {
     }
 
     /// Front-door admission. `None` means shed (`gate-full`).
-    fn admit(&self) -> Option<GatePermit<'_>> {
+    pub(crate) fn admit(&self) -> Option<GatePermit<'_>> {
         let capacity = self.capacity.load(Ordering::Relaxed);
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
         if prev >= capacity {
@@ -214,10 +193,10 @@ impl AdmissionGate {
 
     /// Claims a slot at `tier`, falling to cheaper tiers while the
     /// requested one is saturated. `None` means every tier is full.
-    fn acquire_tier(&self, tier: PlanTier) -> Option<(PlanTier, TierPermit<'_>)> {
+    pub(crate) fn acquire_tier(&self, tier: PlanTier) -> Option<(PlanTier, TierPermit<'_>)> {
         let mut t = tier;
         loop {
-            let idx = tier_index(t);
+            let idx = t as usize;
             let slots = self.tier_slots[idx].load(Ordering::Relaxed);
             let prev = self.tier_in_flight[idx].fetch_add(1, Ordering::AcqRel);
             if prev < slots {
@@ -230,7 +209,7 @@ impl AdmissionGate {
 }
 
 /// RAII total-capacity slot.
-struct GatePermit<'g> {
+pub(crate) struct GatePermit<'g> {
     gate: &'g AdmissionGate,
 }
 
@@ -241,7 +220,7 @@ impl Drop for GatePermit<'_> {
 }
 
 /// RAII per-tier slot.
-struct TierPermit<'g> {
+pub(crate) struct TierPermit<'g> {
     gate: &'g AdmissionGate,
     idx: usize,
 }
@@ -368,215 +347,41 @@ impl ConcurrentMediator {
         result
     }
 
-    /// The admission-gated serving path behind [`query`](Self::query).
-    ///
-    /// Order matters: total admission is checked before any parsing or
-    /// planning, so a shed query costs nothing and returns immediately;
-    /// tier selection runs after planning (it needs the cost estimate);
-    /// the per-tier slot is claimed last and held across execution.
+    /// The serving path behind [`query`](Self::query): the shared
+    /// pipeline on a per-query clock started at the high-water mark,
+    /// which every exit raises.
     fn serve(&self, req: &QueryRequest) -> Result<QueryResult> {
-        let _permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
-            reason: "gate-full".into(),
-        })?;
-        let mut config = self.core.config;
-        if let Some(d) = req.deadline {
-            config.exec.deadline = Some(d);
-        }
-        if let Some(t) = req.trace {
-            config.exec.collect_trace = t;
-        }
-        if let Some(k) = req.parallelism {
-            config.exec.max_parallel_calls = k;
-            config.cost.max_parallel_calls = k;
-            config.rewrite.favor_parallel = k > 1;
-        }
-        if let Some(b) = req.budget {
-            config.exec.budget = Some(b);
-        }
-        let query = parse_query(&req.src)?;
-        let query = match &req.bindings {
-            Some(params) => bind_query(&query, params),
-            None => query,
+        let epoch = self.now();
+        let mut clock = if self.wall_clock() {
+            SimClock::wall_from(epoch)
+        } else {
+            SimClock::new()
         };
-        let mut planned = self.plan_query(&query, &config)?;
-        let decision = self.select_query_tier(req, &mut planned, &config);
-        let tier_permit = match decision {
-            Some(d) => {
-                let (granted, permit) =
-                    self.gate
-                        .acquire_tier(d.tier)
-                        .ok_or_else(|| HermesError::Shed {
-                            reason: "tier-budget-full".into(),
-                        })?;
-                config.exec.tier = granted;
-                Some((
-                    granted,
-                    // A gate-forced fall to a cheaper tier is a load
-                    // decision, whatever the selector's original reason.
-                    if granted < d.tier {
-                        TierReason::HighLoad
-                    } else {
-                        d.reason
-                    },
-                    permit,
-                ))
-            }
-            None => None,
-        };
-        let selected_at = self.now();
-        let mut result = self.execute(planned, req.limit, &config)?;
-        match tier_permit {
-            Some((tier, reason, _permit)) => {
-                if reason != TierReason::Default && config.exec.collect_trace {
-                    result.trace.insert(
-                        0,
-                        TraceEntry {
-                            at: selected_at,
-                            event: TraceEvent::TierSelected { tier, reason },
-                        },
-                    );
-                }
-                if tier < PlanTier::Full || result.stats.tier_downgrades > 0 {
-                    self.downgraded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                if result.stats.tier_downgrades > 0 {
-                    self.downgraded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        clock.advance_to(epoch); // a no-op under the wall anchor
+        let served = self.pipeline().query(req, &mut clock);
+        self.push_epoch(clock.now());
+        let (result, started_at) = served?;
+        if started_at.is_some_and(|tier| tier < PlanTier::Full) || result.stats.tier_downgrades > 0
+        {
+            self.downgraded.fetch_add(1, Ordering::Relaxed);
         }
         Ok(result)
     }
 
-    /// Mirrors the serial mediator's tier selection, with the gate's real
-    /// load as the load signal. Engaged only when tiering is asked for
-    /// (adaptive config, per-request tier or budget) or the gate is
-    /// bounded — the default path never consults the selector.
-    fn select_query_tier(
-        &self,
-        req: &QueryRequest,
-        planned: &mut Planned,
-        config: &MediatorConfig,
-    ) -> Option<TierDecision> {
-        let engaged = config.adaptive_tiers
-            || req.tier.is_some()
-            || config.exec.budget.is_some()
-            || self.gate.is_bounded();
-        if !engaged {
-            return None;
-        }
-        let plan_sites = self.plan_sites(planned.plan());
-        let open = self.breakers.lock().open_sites(self.now());
-        let decision = select_tier(&TierInputs {
-            requested: req.tier,
-            budget: config.exec.budget,
-            estimate_ms: planned.estimate().t_all_ms.unwrap_or(0.0),
-            plan_site_breaker_open: open.iter().any(|s| plan_sites.contains(s.as_ref())),
-            load: self.gate.load(),
-        });
-        if decision.tier == PlanTier::CacheOnly {
-            let servable = cache_servable_plans(&planned.plans);
-            if !servable.is_empty() && !servable.contains(&planned.chosen) {
-                planned.chosen = servable
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let ta = planned.estimates[a].t_all_ms.unwrap_or(f64::INFINITY);
-                        let tb = planned.estimates[b].t_all_ms.unwrap_or(f64::INFINITY);
-                        ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("servable is non-empty");
-            }
-        }
-        Some(decision)
-    }
-
-    /// Plans a query against the immutable core and the current shared
-    /// statistics.
-    fn plan_query(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
-        check_mixed_definitions(&self.core.program)?;
-        let plans = enumerate_plans_with_pushdowns(
-            &self.core.program,
-            query,
-            &self.core.policy,
-            config.rewrite,
-            &self.core.pushdowns,
-        )?;
-        let (chosen, estimates) = choose_plan(
-            &plans,
-            self.dcsm.as_ref(),
-            &config.cost,
-            config.optimize_first_answer,
-        );
-        Ok(Planned {
-            plans,
-            estimates,
-            chosen,
-        })
-    }
-
-    /// The failover-aware execution loop (mirrors the serial mediator's),
-    /// on a per-query clock seeded from the server's high-water mark.
-    fn execute(
-        &self,
-        planned: Planned,
-        limit: Option<usize>,
-        config: &MediatorConfig,
-    ) -> Result<QueryResult> {
-        let mut idx = planned.chosen;
-        let mut avoid: BTreeSet<String> = BTreeSet::new();
-        let mut failovers = 0u32;
-        let mut carried = ExecStats::default();
-        let epoch =
-            SimInstant::EPOCH + SimDuration::from_micros(self.epoch_us.load(Ordering::Relaxed));
-        let mut clock = if self.wall_clock.load(Ordering::Relaxed) {
-            SimClock::wall_from(epoch)
-        } else {
-            let mut c = SimClock::new();
-            c.advance_to(epoch);
-            c
-        };
-        loop {
-            let plan = planned.plans[idx].clone();
-            let estimate = planned.estimates[idx];
-            let mut executor = Executor::new(
-                &self.network,
-                self.cim.as_ref(),
-                self.dcsm.as_ref(),
-                clock.clone(),
-                config.exec,
-            )
-            .with_breakers(&self.breakers)
-            .with_flight(&self.flight);
-            if config.exec.share_subplans {
-                executor = executor.with_matcache(&self.matcache);
-            }
-            let attempt = executor.run(&plan, limit);
-            clock.advance_to(executor.now());
-            self.push_epoch(clock.now());
-            match attempt {
-                Ok(outcome) => {
-                    self.push_epoch(outcome.clock.now());
-                    let mut result = project(plan, estimate, planned.plans.len(), outcome);
-                    result.failovers = failovers;
-                    result.stats.absorb(&carried);
-                    return Ok(result);
-                }
-                Err(HermesError::Unavailable { site, reason }) if config.failover => {
-                    carried.absorb(&executor.stats());
-                    if !avoid.insert(site.clone()) {
-                        return Err(HermesError::Unavailable { site, reason });
-                    }
-                    match self.failover_choice(&planned, &avoid, config) {
-                        Some(next) => {
-                            failovers += 1;
-                            idx = next;
-                        }
-                        None => return Err(HermesError::Unavailable { site, reason }),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+    /// The query pipeline over the immutable core and the shared state.
+    fn pipeline(&self) -> Pipeline<'_> {
+        Pipeline {
+            program: &self.core.program,
+            policy: &self.core.policy,
+            pushdowns: &self.core.pushdowns,
+            config: self.core.config,
+            network: &self.network,
+            cim: self.cim.as_ref(),
+            dcsm: self.dcsm.as_ref(),
+            breakers: &self.breakers,
+            flight: Some(&self.flight),
+            matcache: &self.matcache,
+            gate: &self.gate,
         }
     }
 
@@ -586,43 +391,6 @@ impl ConcurrentMediator {
             t.duration_since(SimInstant::EPOCH).as_micros(),
             Ordering::Relaxed,
         );
-    }
-
-    /// The sites a plan's call steps touch.
-    fn plan_sites(&self, plan: &Plan) -> BTreeSet<String> {
-        let mut sites = BTreeSet::new();
-        for step in &plan.steps {
-            if let PlanStep::Call { call, .. } = step {
-                if let Ok(site) = self.network.site_of(&call.domain) {
-                    sites.insert(site.name.to_string());
-                }
-            }
-        }
-        sites
-    }
-
-    /// The cheapest plan (under current statistics) avoiding every site in
-    /// `avoid`, if any.
-    fn failover_choice(
-        &self,
-        planned: &Planned,
-        avoid: &BTreeSet<String>,
-        config: &MediatorConfig,
-    ) -> Option<usize> {
-        let eligible: Vec<usize> = (0..planned.plans.len())
-            .filter(|&i| self.plan_sites(&planned.plans[i]).is_disjoint(avoid))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
-        let (chosen, _) = choose_plan(
-            &candidates,
-            self.dcsm.as_ref(),
-            &config.cost,
-            config.optimize_first_answer,
-        );
-        Some(eligible[chosen])
     }
 
     /// The sharded answer cache.

@@ -10,8 +10,11 @@ use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::domains::terrain::{demo_map, TerrainDomain};
 use hermes::domains::text::newswire;
 use hermes::domains::video::gen::{rope_store, ROPE_CAST};
+use hermes::lang::Subst;
 use hermes::net::profiles;
-use hermes::{Mediator, Network, Value};
+use hermes::{
+    Mediator, Network, PlanTier, QueryRequest, QueryResult, Result, SimDuration, SimInstant, Value,
+};
 use std::sync::Arc;
 
 fn big_world(seed: u64) -> Mediator {
@@ -169,6 +172,97 @@ fn concurrent_answers_match_serial_across_seeds() {
         });
         assert_eq!(server.stats().queries, 20);
     }
+}
+
+/// Two replicas with identical data: `d1` on a healthy site, `d2` on a
+/// site that is dark for the whole first day.
+fn replicated_world() -> Mediator {
+    let spec = [RelationSpec::uniform("p", 8, 2.0)];
+    let d1 = SyntheticDomain::generate("d1", 42, &spec);
+    let d2 = SyntheticDomain::generate("d2", 42, &spec);
+    let mut net = Network::new(1);
+    net.place(Arc::new(d1), profiles::cornell());
+    net.place(
+        Arc::new(d2),
+        profiles::italy().with_outage(
+            SimInstant::EPOCH,
+            SimInstant::EPOCH + SimDuration::from_secs(86_400),
+        ),
+    );
+    Mediator::from_source(
+        "
+        item(A, B) :- in(B, d2:p_bf(A)).
+        item(A, B) :- in(B, d1:p_bf(A)).
+        scan(A, B) :- in(Ans, d1:p_ff()) & =(Ans.a, A) & =(Ans.b, B).
+        pair(A, B, C) :- item(A, B) & item(A, C).
+        ",
+        net,
+    )
+    .unwrap()
+}
+
+/// Every observable field of a query outcome, labelled, so a divergence
+/// names the field that differs.
+fn outcome_fields(outcome: Result<QueryResult>) -> Vec<(&'static str, String)> {
+    let r = match outcome {
+        Ok(r) => r,
+        Err(e) => return vec![("error", e.to_string())],
+    };
+    let mut rows = r.rows.clone();
+    rows.sort();
+    vec![
+        ("plan", r.plan.to_string()),
+        ("plans_considered", r.plans_considered.to_string()),
+        ("estimate", format!("{:?}", r.estimate)),
+        ("t_first", format!("{:?}", r.t_first)),
+        ("t_all", format!("{:?}", r.t_all)),
+        ("failovers", r.failovers.to_string()),
+        ("incomplete", r.incomplete.to_string()),
+        ("provenance", format!("{:?}", r.provenance)),
+        ("stats", format!("{:?}", r.stats)),
+        ("trace", hermes::core::trace::render(&r.trace)),
+        ("rows", format!("{rows:?}")),
+    ]
+}
+
+#[test]
+fn serial_and_concurrent_mediators_agree_field_for_field() {
+    // Both mediators run one query pipeline, so a single caller driving
+    // the same request sequence through each, from identical fresh
+    // worlds, must see identical results in every field — not just the
+    // same answers — and end at the same virtual time.
+    let requests = [
+        QueryRequest::new("?- item('p_1', B)."),
+        QueryRequest::new("?- item('p_1', B)."),
+        QueryRequest::new("?- item('p_2', B)."),
+        QueryRequest::new("?- item('p_3', B).")
+            .budget(SimDuration::from_millis(1))
+            .trace(true),
+        QueryRequest::new("?- item('p_1', B).")
+            .tier(PlanTier::CacheOnly)
+            .trace(true),
+        QueryRequest::new("?- scan(A, B).").limit(3),
+        QueryRequest::new("?- pair('p_4', B, C).").parallelism(4),
+        QueryRequest::new("?- item(A, B).").bindings(Subst::from_pairs([("A", Value::str("p_5"))])),
+        QueryRequest::new("?- pair('p_6', B, C).").deadline(SimDuration::from_millis(1)),
+    ];
+    let mut serial = replicated_world();
+    let server = replicated_world().to_concurrent(4);
+    let mut failovers = 0;
+    for (i, req) in requests.iter().enumerate() {
+        let s = outcome_fields(serial.query(req.clone()));
+        let c = outcome_fields(server.query(req.clone()));
+        assert_eq!(s, c, "request {i} diverged");
+        failovers += s
+            .iter()
+            .find(|(field, _)| *field == "failovers")
+            .map_or(0, |(_, n)| n.parse::<u32>().unwrap());
+    }
+    assert!(
+        failovers > 0,
+        "no request failed over onto the live replica"
+    );
+    assert_eq!(serial.now(), server.now());
 }
 
 #[test]
