@@ -1,20 +1,13 @@
 //! Network serving throughput: sustained loopback qps of a [`NetServer`]
-//! with wall-clock latency percentiles, plus the framing micro-benchmark
-//! (binary frame codec vs the text wire codec). Run with
+//! with wall-clock latency percentiles. Run with
 //! `cargo bench -p hermes-bench --bench wire_throughput`; CI passes
 //! `-- --test-mode` for a quick smoke run with assertions.
 //!
 //! The full run emits `BENCH_pr9.json` at the repo root — the serving
 //! point in the performance trajectory (see README "Performance").
 //!
-//! Three experiments:
+//! Two experiments:
 //!
-//! * **codec** — round-trip a corpus of answer-shaped values through the
-//!   binary (`value_to_bytes`/`value_from_bytes`) and text
-//!   (`encode_value`/`value_from_str`) codecs and compare ns/round-trip
-//!   and encoded size. The binary framing exists because the profile
-//!   showed text parsing dominating warm cache hits; this keeps the
-//!   receipt honest.
 //! * **serving** — a real `NetServer` on a loopback socket over the same
 //!   Zipf world as `hermes-serve`, sources behind [`SlowDomain`] (3 ms
 //!   real latency per executed call). Client threads drive the mix cold
@@ -28,9 +21,7 @@
 //!   shed at the gate vs refused at the socket — backpressure must show
 //!   up as *counted* sheds, not as transport errors or hangs.
 
-use hermes_common::frame::{value_from_bytes, value_to_bytes};
-use hermes_common::wire::{encode_value, value_from_str};
-use hermes_common::{QueryFrame, Record, Rng64, Value};
+use hermes_common::{QueryFrame, Rng64};
 use hermes_core::{
     ConcurrentMediator, GateConfig, Mediator, NetServer, ServeConfig, ServeMode, WireClient,
 };
@@ -102,89 +93,6 @@ fn zipf_mix(seed: u64, count: usize) -> Vec<String> {
             format!("?- q{f}('{rel}_{key}', B).")
         })
         .collect()
-}
-
-// ---------------------------------------------------------------- codec
-
-/// Answer-shaped values: records with string/int/float fields, the
-/// payload every batch frame actually carries.
-fn sample_values(n: usize) -> Vec<Value> {
-    let mut rng = Rng64::new(0x00DE_CC0D);
-    (0..n)
-        .map(|i| {
-            Value::Record(Record::from_fields(vec![
-                ("a", Value::Str(format!("r{}_{}", i % 4, i % KEYS).into())),
-                ("b", Value::Int(rng.range_i64(-1_000_000, 1_000_000))),
-                ("c", Value::Float(rng.range_f64(0.0, 1.0))),
-                (
-                    "tags",
-                    Value::List(vec![
-                        Value::Str("hot".into()),
-                        Value::Bool(rng.chance(0.5)),
-                        Value::Null,
-                    ]),
-                ),
-            ]))
-        })
-        .collect()
-}
-
-struct CodecRow {
-    values: usize,
-    iters: usize,
-    binary_ns_per_roundtrip: f64,
-    text_ns_per_roundtrip: f64,
-    binary_bytes_per_value: f64,
-    text_bytes_per_value: f64,
-    speedup: f64,
-}
-
-fn bench_codec(values: usize, iters: usize) -> CodecRow {
-    let corpus = sample_values(values);
-
-    // Encoded sizes, once.
-    let bin_bytes: usize = corpus.iter().map(|v| value_to_bytes(v).len()).sum();
-    let text_bytes: usize = corpus
-        .iter()
-        .map(|v| {
-            let mut s = String::new();
-            encode_value(v, &mut s);
-            s.len()
-        })
-        .sum();
-
-    // Binary round trips.
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for v in &corpus {
-            let bytes = value_to_bytes(v);
-            let back = value_from_bytes(&bytes).expect("binary codec round-trips");
-            assert_eq!(&back, v);
-        }
-    }
-    let bin_ns = t0.elapsed().as_nanos() as f64 / (iters * values) as f64;
-
-    // Text round trips.
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        for v in &corpus {
-            let mut s = String::new();
-            encode_value(v, &mut s);
-            let back = value_from_str(&s).expect("text codec round-trips");
-            assert_eq!(&back, v);
-        }
-    }
-    let text_ns = t0.elapsed().as_nanos() as f64 / (iters * values) as f64;
-
-    CodecRow {
-        values,
-        iters,
-        binary_ns_per_roundtrip: bin_ns,
-        text_ns_per_roundtrip: text_ns,
-        binary_bytes_per_value: bin_bytes as f64 / values as f64,
-        text_bytes_per_value: text_bytes as f64 / values as f64,
-        speedup: text_ns / bin_ns,
-    }
 }
 
 // -------------------------------------------------------------- serving
@@ -367,28 +275,16 @@ fn run_overload(duration: Duration) -> Overload {
 
 // ----------------------------------------------------------------- main
 
-fn write_json(codec: &CodecRow, phases: &[Phase], over: &Overload) -> std::io::Result<()> {
+fn write_json(phases: &[Phase], over: &Overload) -> std::io::Result<()> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr9.json");
     let mut body = String::new();
     body.push_str("{\n");
     body.push_str("  \"bench\": \"wire_throughput\",\n");
     body.push_str(
         "  \"description\": \"NetServer loopback qps with wall-clock latency percentiles \
-         (cold vs warm cache, 3 ms real source latency), binary-vs-text codec \
-         micro-bench, and shed accounting under 2x overload\",\n",
+         (cold vs warm cache, 3 ms real source latency) and shed accounting \
+         under 2x overload\",\n",
     );
-    body.push_str(&format!(
-        "  \"codec\": {{\"values\": {}, \"iters\": {}, \"binary_ns_per_roundtrip\": {:.1}, \
-         \"text_ns_per_roundtrip\": {:.1}, \"binary_bytes_per_value\": {:.1}, \
-         \"text_bytes_per_value\": {:.1}, \"binary_speedup\": {:.2}}},\n",
-        codec.values,
-        codec.iters,
-        codec.binary_ns_per_roundtrip,
-        codec.text_ns_per_roundtrip,
-        codec.binary_bytes_per_value,
-        codec.text_bytes_per_value,
-        codec.speedup,
-    ));
     body.push_str("  \"serving\": [\n");
     for (i, p) in phases.iter().enumerate() {
         body.push_str(&format!(
@@ -428,24 +324,13 @@ fn write_json(codec: &CodecRow, phases: &[Phase], over: &Overload) -> std::io::R
 
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test-mode");
-    let (codec_values, codec_iters, conns, mix_len, warm_len, overload_ms) = if test_mode {
-        (64, 20, 4, 200, 400, 250)
+    let (conns, mix_len, warm_len, overload_ms) = if test_mode {
+        (4, 200, 400, 250)
     } else {
-        (512, 200, 8, 3000, 20000, 1500)
+        (8, 3000, 20000, 1500)
     };
 
-    println!("wire_throughput: binary framing + loopback serving\n");
-
-    // Codec micro-bench.
-    let codec = bench_codec(codec_values, codec_iters);
-    println!(
-        "codec: binary {:.0} ns/rt ({:.0} B), text {:.0} ns/rt ({:.0} B) -> {:.2}x",
-        codec.binary_ns_per_roundtrip,
-        codec.binary_bytes_per_value,
-        codec.text_ns_per_roundtrip,
-        codec.text_bytes_per_value,
-        codec.speedup,
-    );
+    println!("wire_throughput: loopback serving\n");
 
     // Serving: one server, cold pass then warm pass over the same keys.
     let mediator = Arc::new(build_server(42));
@@ -502,11 +387,6 @@ fn main() {
     // Invariants that hold in any mode; test mode turns them into the
     // CI contract, the full run still refuses to write nonsense.
     assert!(
-        codec.binary_speedup_ok(),
-        "binary codec slower than text: {:.2}x",
-        codec.speedup
-    );
-    assert!(
         warm.source_calls == 0,
         "warm pass paid {} source calls",
         warm.source_calls
@@ -530,15 +410,8 @@ fn main() {
 
     if test_mode {
         println!("\nwire_throughput: OK (test mode)");
-    } else if let Err(e) = write_json(&codec, &phases, &over) {
+    } else if let Err(e) = write_json(&phases, &over) {
         eprintln!("failed to write BENCH_pr9.json: {e}");
         std::process::exit(1);
-    }
-}
-
-impl CodecRow {
-    /// The whole point of the binary framing: it must not lose to text.
-    fn binary_speedup_ok(&self) -> bool {
-        self.speedup >= 1.0
     }
 }

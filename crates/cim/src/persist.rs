@@ -2,128 +2,79 @@
 //!
 //! Caching exists because source calls are expensive (remote, metered,
 //! sometimes unavailable — §1); a cache that evaporates on restart wastes
-//! exactly those calls. The format is line-oriented text (one entry per
-//! line, see [`hermes_common::wire`]): a versioned header, then
+//! exactly those calls. A saved cache is a run of values in the
+//! [`hermes_common::frame`] binary codec: the header string
+//! `hermes-answer-cache v2`, then one entry after another,
 //!
 //! ```text
-//! <call> "\t" <complete 0|1> "\t" <inserted_at µs> "\t" <n answers> "\t" <answers…>
+//! entry := call  complete:bool  inserted_at:int (µs)  n:int  answer{n}
 //! ```
 
 use crate::cache::AnswerCache;
-use hermes_common::wire::{encode_call, encode_value, Decoder};
-use hermes_common::{HermesError, Result, SimDuration, SimInstant};
-use std::io::{BufRead, Write};
+use hermes_common::frame::{put_call, put_value, BinDecoder};
+use hermes_common::{HermesError, Result, SimDuration, SimInstant, Value};
+use std::io::{Read, Write};
 
-const HEADER: &str = "hermes-answer-cache v1";
+const HEADER: &str = "hermes-answer-cache v2";
 
-/// Writes every cache entry to `out`.
+/// Writes every cache entry to `out`, ordered by call.
 pub fn save<W: Write>(cache: &AnswerCache, mut out: W) -> Result<()> {
-    writeln!(out, "{HEADER}")?;
-    // Deterministic order: sort by call.
+    let mut buf = Vec::new();
+    put_value(&Value::str(HEADER), &mut buf);
     let mut entries: Vec<_> = cache.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
     for (call, entry) in entries {
-        let mut line = String::new();
-        encode_call(call, &mut line);
-        line.push('\t');
-        line.push(if entry.complete { '1' } else { '0' });
-        line.push('\t');
-        line.push_str(&entry.inserted_at.as_micros().to_string());
-        line.push('\t');
-        line.push_str(&entry.answers.len().to_string());
-        line.push('\t');
+        put_call(call, &mut buf);
+        put_value(&Value::Bool(entry.complete), &mut buf);
+        put_value(&Value::Int(entry.inserted_at.as_micros() as i64), &mut buf);
+        put_value(&Value::Int(entry.answers.len() as i64), &mut buf);
         for a in entry.answers.iter() {
-            encode_value(a, &mut line);
+            put_value(a, &mut buf);
         }
-        writeln!(out, "{line}")?;
     }
+    out.write_all(&buf)?;
     Ok(())
 }
 
-/// Reads entries from `input` into a fresh unbounded cache.
-pub fn load<R: BufRead>(input: R) -> Result<AnswerCache> {
-    let mut lines = input.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| HermesError::Io("empty cache file".into()))??;
-    if header != HEADER {
-        return Err(HermesError::Io(format!(
-            "unrecognized cache header `{header}`"
-        )));
+/// Replaces the entries of `cache` with those read from `input`. The
+/// cache keeps its byte budget and registered ordered indexes; a
+/// malformed file is an error and leaves the cache untouched.
+pub fn load<R: Read>(mut input: R, cache: &mut AnswerCache) -> Result<()> {
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    if bytes.is_empty() {
+        return Err(HermesError::Io("empty cache file".into()));
     }
-    let mut cache = AnswerCache::new();
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut fields = line.split('\t');
-        let mut need = || {
-            fields
-                .next()
-                .ok_or_else(|| HermesError::Io(format!("cache line {}: truncated", lineno + 2)))
-        };
-        let call_text = need()?;
-        let complete_text = need()?;
-        let at_text = need()?;
-        let count_text = need()?;
-        let answers_text = need()?;
-
-        let mut d = Decoder::new(call_text);
+    let mut d = BinDecoder::new(&bytes);
+    if !matches!(d.value(), Ok(Value::Str(h)) if *h == *HEADER) {
+        return Err(HermesError::Io("unrecognized cache header".into()));
+    }
+    let mut entries = Vec::new();
+    while !d.is_done() {
         let call = d.call()?;
-        let complete = match complete_text {
-            "1" => true,
-            "0" => false,
-            other => {
-                return Err(HermesError::Io(format!(
-                    "cache line {}: bad complete flag `{other}`",
-                    lineno + 2
-                )))
-            }
+        let (Value::Bool(complete), Value::Int(micros), Value::Int(n)) =
+            (d.value()?, d.value()?, d.value()?)
+        else {
+            return Err(HermesError::Io(format!("malformed cache entry for {call}")));
         };
-        let micros: u64 = at_text.parse().map_err(|e| {
-            HermesError::Io(format!("cache line {}: bad timestamp: {e}", lineno + 2))
-        })?;
-        let count: usize = count_text
-            .parse()
-            .map_err(|e| HermesError::Io(format!("cache line {}: bad count: {e}", lineno + 2)))?;
-        let mut ad = Decoder::new(answers_text);
-        let mut answers = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            answers.push(ad.value()?);
+        let mut answers = Vec::new();
+        for _ in 0..n {
+            answers.push(d.value()?);
         }
-        if !ad.is_done() {
-            return Err(HermesError::Io(format!(
-                "cache line {}: trailing answer bytes",
-                lineno + 2
-            )));
-        }
-        cache.insert(
-            call,
-            answers,
-            complete,
-            SimInstant::EPOCH + SimDuration::from_micros(micros),
-        );
+        let at = SimInstant::EPOCH + SimDuration::from_micros(micros as u64);
+        entries.push((call, answers, complete, at));
     }
-    Ok(cache)
-}
-
-/// Saves to a file path.
-pub fn save_to_path(cache: &AnswerCache, path: &std::path::Path) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    save(cache, std::io::BufWriter::new(file))
-}
-
-/// Loads from a file path.
-pub fn load_from_path(path: &std::path::Path) -> Result<AnswerCache> {
-    let file = std::fs::File::open(path)?;
-    load(std::io::BufReader::new(file))
+    cache.clear();
+    for (call, answers, complete, at) in entries {
+        cache.insert(call, answers, complete, at);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_common::{GroundCall, Record, Value};
+    use hermes_common::{GroundCall, Record};
 
     fn sample_cache() -> AnswerCache {
         let mut c = AnswerCache::new();
@@ -155,12 +106,17 @@ mod tests {
         c
     }
 
+    fn saved(cache: &AnswerCache) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save(cache, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let cache = sample_cache();
-        let mut buf = Vec::new();
-        save(&cache, &mut buf).unwrap();
-        let loaded = load(std::io::Cursor::new(&buf)).unwrap();
+        let mut loaded = AnswerCache::new();
+        load(saved(&cache).as_slice(), &mut loaded).unwrap();
         assert_eq!(loaded.len(), cache.len());
         for (call, entry) in cache.iter() {
             let got = loaded.peek(call).expect("entry survives");
@@ -173,50 +129,35 @@ mod tests {
     #[test]
     fn save_is_deterministic() {
         let cache = sample_cache();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        save(&cache, &mut a).unwrap();
-        save(&cache, &mut b).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(saved(&cache), saved(&cache));
     }
 
     #[test]
     fn bad_header_rejected() {
-        let err = load(std::io::Cursor::new(b"nope\n".as_slice())).unwrap_err();
-        assert!(err.to_string().contains("header"));
-        let err2 = load(std::io::Cursor::new(b"".as_slice())).unwrap_err();
-        assert!(err2.to_string().contains("empty"));
+        let mut cache = AnswerCache::new();
+        for file in [b"nope".as_slice(), b"hermes-answer-cache v1\n"] {
+            let err = load(file, &mut cache).unwrap_err();
+            assert!(
+                matches!(&err, HermesError::Io(m) if m.contains("header")),
+                "{err}"
+            );
+        }
+        let err = load(b"".as_slice(), &mut cache).unwrap_err();
+        assert!(err.to_string().contains("empty"));
     }
 
     #[test]
-    fn truncated_line_rejected() {
-        let mut buf = Vec::new();
-        save(&sample_cache(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let truncated: String = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                if i == 1 {
-                    l.split('\t').next().unwrap().to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(load(std::io::Cursor::new(truncated.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("hermes-cim-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.txt");
-        let cache = sample_cache();
-        save_to_path(&cache, &path).unwrap();
-        let loaded = load_from_path(&path).unwrap();
-        assert_eq!(loaded.len(), cache.len());
-        std::fs::remove_dir_all(&dir).ok();
+    fn truncated_entry_rejected_and_cache_untouched() {
+        let bytes = saved(&sample_cache());
+        let mut cache = AnswerCache::new();
+        cache.insert(
+            GroundCall::new("d", "g", vec![]),
+            vec![Value::Int(9)],
+            true,
+            SimInstant::EPOCH,
+        );
+        let before = saved(&cache);
+        assert!(load(&bytes[..bytes.len() - 1], &mut cache).is_err());
+        assert_eq!(saved(&cache), before);
     }
 }

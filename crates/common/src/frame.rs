@@ -1,10 +1,12 @@
-//! Length-prefixed binary framing for the network serving stack.
+//! The workspace's one value codec, and the length-prefixed framing built
+//! on it.
 //!
-//! [`wire`](crate::wire) is the *persistence* codec: line-safe text, one
-//! cache entry per line. This module is the *network* codec: the frames
-//! `hermes-serve` and its clients exchange over TCP, built on a compact
-//! binary value encoding (no escaping, no decimal parsing — see the
-//! `wire_throughput` bench for the encode/decode comparison).
+//! [`put_value`] / [`BinDecoder::value`] encode a [`Value`] bit-exactly
+//! (floats keep their bits) in a compact binary form with no escaping and
+//! no decimal parsing; [`put_call`] / [`BinDecoder::call`] do the same for
+//! a [`GroundCall`]. Two users share them: the frames `hermes-serve` and
+//! its clients exchange over TCP, and the answer-cache and statistics
+//! files `hermes_cim::persist` and `hermes_dcsm::persist` write.
 //!
 //! ## Frame grammar
 //!
@@ -26,6 +28,8 @@
 //!          | 0x05 len:u32-LE bytes         (str, UTF-8)
 //!          | 0x06 count:u32-LE value*      (list)
 //!          | 0x07 count:u32-LE (str value)* (record; str as in 0x05)
+//! call    := str str count:u32-LE value*  (domain, function, args;
+//!                                          str as in 0x05, untagged)
 //! ```
 //!
 //! Nesting is bounded by [`MAX_DEPTH`]; every decode path returns a
@@ -45,6 +49,7 @@
 // Frames arrive from untrusted sockets: decoding must never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::call::GroundCall;
 use crate::error::{HermesError, Result};
 use crate::value::{Record, Value};
 use std::io::{Read, Write};
@@ -111,7 +116,18 @@ pub fn put_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-/// A bounds-checked cursor over one frame's payload bytes.
+/// Encodes a ground call onto `out`: domain, function, then the arguments.
+pub fn put_call(c: &GroundCall, out: &mut Vec<u8>) {
+    put_str(&c.domain, out);
+    put_str(&c.function, out);
+    put_u32(c.args.len(), out);
+    for a in c.args.iter() {
+        put_value(a, out);
+    }
+}
+
+/// A bounds-checked cursor over encoded bytes (a frame payload or a
+/// persisted cache file).
 pub struct BinDecoder<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -130,7 +146,7 @@ impl<'a> BinDecoder<'a> {
 
     fn err(&self, msg: impl Into<String>) -> HermesError {
         HermesError::Io(format!(
-            "frame decode error at byte {}/{}: {}",
+            "decode error at byte {}/{}: {}",
             self.pos,
             self.buf.len(),
             msg.into()
@@ -166,6 +182,18 @@ impl<'a> BinDecoder<'a> {
     /// Decodes one value (depth-bounded).
     pub fn value(&mut self) -> Result<Value> {
         self.value_at(0)
+    }
+
+    /// Decodes one ground call written by [`put_call`].
+    pub fn call(&mut self) -> Result<GroundCall> {
+        let domain = self.str()?;
+        let function = self.str()?;
+        let n = self.u32()?;
+        let mut args = Vec::with_capacity(n.min(self.buf.len() - self.pos));
+        for _ in 0..n {
+            args.push(self.value()?);
+        }
+        Ok(GroundCall::new(domain, function, args))
     }
 
     fn value_at(&mut self, depth: usize) -> Result<Value> {

@@ -18,8 +18,8 @@
 //! * [`Rng64`] — a small, seedable, dependency-free PRNG (SplitMix64 +
 //!   xoshiro256**) with the distribution helpers the network simulator and
 //!   workload generators need.
-//! * [`wire`] / [`frame`] — the persistence text codec and the
-//!   length-prefixed binary framing `hermes-serve` speaks over TCP.
+//! * [`frame`] — the binary value codec, shared by the length-prefixed
+//!   frames `hermes-serve` speaks over TCP and the persisted cache files.
 //! * [`HermesError`] — the error type shared across the workspace.
 
 pub mod call;
@@ -30,7 +30,6 @@ pub mod path;
 pub mod rng;
 pub mod sync;
 pub mod value;
-pub mod wire;
 
 pub use call::{shard_index, CallPattern, GroundCall, PatArg, PatternShape};
 pub use clock::{SimClock, SimDuration, SimInstant};

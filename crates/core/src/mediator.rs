@@ -542,22 +542,26 @@ impl Mediator {
     /// survives a mediator restart.
     pub fn save_state(&self, dir: &std::path::Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
-        hermes_cim::persist::save_to_path(self.cim.lock().cache(), &dir.join("answers.cache"))?;
-        hermes_dcsm::persist::save_to_path(self.dcsm.lock().db(), &dir.join("stats.db"))?;
-        Ok(())
+        let answers = std::fs::File::create(dir.join("answers.cache"))?;
+        hermes_cim::persist::save(self.cim.lock().cache(), answers)?;
+        let stats = std::fs::File::create(dir.join("stats.db"))?;
+        hermes_dcsm::persist::save(self.dcsm.lock().db(), stats)
     }
 
     /// Restores state saved by [`Mediator::save_state`]. Missing files are
-    /// not an error (a fresh deployment); malformed files are.
+    /// not an error (a fresh deployment); malformed files are. Restored
+    /// answers load into the existing cache, so its byte budget and
+    /// invariant indexes stay in force.
     pub fn load_state(&mut self, dir: &std::path::Path) -> Result<()> {
         let cache_path = dir.join("answers.cache");
         if cache_path.exists() {
-            let cache = hermes_cim::persist::load_from_path(&cache_path)?;
-            *self.cim.lock().cache_mut() = cache;
+            let answers = std::fs::File::open(&cache_path)?;
+            hermes_cim::persist::load(answers, self.cim.lock().cache_mut())?;
         }
         let stats_path = dir.join("stats.db");
         if stats_path.exists() {
-            let db = hermes_dcsm::persist::load_from_path(&stats_path)?;
+            let stats = std::fs::File::open(&stats_path)?;
+            let db = hermes_dcsm::persist::load(stats)?;
             self.dcsm.lock().replay_db(&db);
         }
         Ok(())
@@ -913,6 +917,44 @@ mod tests {
         let empty = dir.join("nothing-here");
         std::fs::create_dir_all(&empty).unwrap();
         assert!(m2.load_state(&empty).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_state_keeps_the_answer_budget_and_invariant_indexes() {
+        let dir =
+            std::env::temp_dir().join(format!("hermes-mediator-budget-{}", std::process::id()));
+        let bf_only = || {
+            let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
+            let mut net = Network::new(1);
+            net.place(Arc::new(domain), profiles::cornell());
+            Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap()
+        };
+        // Eight similar entries; the budget holds about half of them.
+        let budget = {
+            let mut m = bf_only();
+            for k in 0..8 {
+                m.query(format!("?- item('p_{k}', B).")).unwrap();
+            }
+            m.save_state(&dir).unwrap();
+            let cim = m.cim.lock();
+            assert_eq!(cim.cache().len(), 8);
+            cim.cache().bytes() / 2
+        };
+        let mut m2 = bf_only();
+        let inv = hermes_lang::parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap();
+        m2.caches().add_invariant(inv).unwrap();
+        m2.caches()
+            .policy()
+            .answer_budget(Some(budget))
+            .apply()
+            .unwrap();
+        m2.load_state(&dir).unwrap();
+        let cim = m2.cim.lock();
+        assert!(!cim.cache().is_empty());
+        let bytes = cim.cache().bytes();
+        assert!(bytes <= budget, "budget dropped: {bytes} B > {budget} B");
+        assert!(cim.cache().ordered_group("d1", "p_bf", 0, &[]).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

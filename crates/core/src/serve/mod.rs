@@ -4,11 +4,11 @@
 //!
 //! # Two server shapes, one dispatch
 //!
-//! * [`ServeMode::Pool`] ([`pool`]) is the PR 9 worker-pool server: one
+//! * [`ServeMode::Pool`] (`pool`) is the worker-pool server: one
 //!   handler thread per in-flight connection, blocking reads, bounded
 //!   accept queue. Simple, portable, and capped — max concurrent
 //!   connections equals the pool size.
-//! * [`ServeMode::Reactor`] ([`reactor`], Linux) is a readiness-driven
+//! * [`ServeMode::Reactor`] (`reactor`, Linux) is a readiness-driven
 //!   epoll event loop: reactor thread(s) own every socket with
 //!   nonblocking per-connection state machines (incremental frame
 //!   decode, bounded write queues with vectored writes, read deadlines
@@ -1009,8 +1009,14 @@ mod tests {
             let mut c = WireClient::connect(&busy_addr).unwrap();
             c.query(QueryFrame::new("?- item('p_1', B).")).unwrap()
         });
-        // Give the worker time to pick up the slow query.
-        std::thread::sleep(Duration::from_millis(100));
+        // With zero pending slots the accept queue is a rendezvous:
+        // `accepted` rises only once the single worker owns the busy
+        // connection, and the worker stays on it for the slow query.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.net_stats().accepted == 0 {
+            assert!(Instant::now() < deadline, "busy connection never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         let mut refused = WireClient::connect(&addr).unwrap();
         let err = refused

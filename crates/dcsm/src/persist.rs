@@ -3,133 +3,98 @@
 //! The cost vector database is the mediator's accumulated knowledge about
 //! source behaviour; §6's whole premise is that this knowledge is hard to
 //! come by (every record cost a real remote call), so it is worth keeping
-//! across restarts. One record per line:
+//! across restarts. A saved database is a run of values in the
+//! [`hermes_common::frame`] binary codec: the header string
+//! `hermes-cost-vector-db v2`, then one record after another,
 //!
 //! ```text
-//! <call> "\t" <t_first|-> "\t" <t_all|-> "\t" <card|-> "\t" <recorded_at µs>
+//! record := call  t_first  t_all  card  recorded_at:int (µs)
 //! ```
 //!
-//! Floats are serialized as bit-exact hex so a save/load cycle never
-//! perturbs an estimate.
+//! where each component is a float or null. Floats keep their bits, so a
+//! save/load cycle never perturbs an estimate.
 
 use crate::cost::CostVector;
 use crate::vectordb::CostVectorDb;
-use hermes_common::wire::{encode_call, Decoder};
-use hermes_common::{HermesError, Result, SimDuration, SimInstant};
-use std::io::{BufRead, Write};
+use hermes_common::frame::{put_call, put_value, BinDecoder};
+use hermes_common::{HermesError, Result, SimDuration, SimInstant, Value};
+use std::io::{Read, Write};
 
-const HEADER: &str = "hermes-cost-vector-db v1";
+const HEADER: &str = "hermes-cost-vector-db v2";
 
-fn write_component(v: Option<f64>, out: &mut String) {
-    match v {
-        Some(x) => {
-            out.push_str(&format!("{:016x}", x.to_bits()));
-        }
-        None => out.push('-'),
-    }
+fn component(v: Option<f64>) -> Value {
+    v.map_or(Value::Null, Value::Float)
 }
 
-fn read_component(text: &str, what: &str) -> Result<Option<f64>> {
-    if text == "-" {
-        return Ok(None);
-    }
-    u64::from_str_radix(text, 16)
-        .map(|bits| Some(f64::from_bits(bits)))
-        .map_err(|e| HermesError::Io(format!("bad {what} `{text}`: {e}")))
-}
-
-/// Writes every record to `out`.
+/// Writes every record to `out`, ordered by `(domain, function)`.
 pub fn save<W: Write>(db: &CostVectorDb, mut out: W) -> Result<()> {
-    writeln!(out, "{HEADER}")?;
+    let mut buf = Vec::new();
+    put_value(&Value::str(HEADER), &mut buf);
     for (domain, function) in db.functions() {
         for r in db.records_for(&domain, &function) {
-            let mut line = String::new();
-            encode_call(&r.call, &mut line);
-            line.push('\t');
-            write_component(r.vector.t_first_ms, &mut line);
-            line.push('\t');
-            write_component(r.vector.t_all_ms, &mut line);
-            line.push('\t');
-            write_component(r.vector.cardinality, &mut line);
-            line.push('\t');
-            line.push_str(&r.recorded_at.as_micros().to_string());
-            writeln!(out, "{line}")?;
+            put_call(&r.call, &mut buf);
+            put_value(&component(r.vector.t_first_ms), &mut buf);
+            put_value(&component(r.vector.t_all_ms), &mut buf);
+            put_value(&component(r.vector.cardinality), &mut buf);
+            put_value(&Value::Int(r.recorded_at.as_micros() as i64), &mut buf);
         }
     }
+    out.write_all(&buf)?;
     Ok(())
 }
 
 /// Reads records from `input` into a fresh database.
-pub fn load<R: BufRead>(input: R) -> Result<CostVectorDb> {
-    let mut lines = input.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| HermesError::Io("empty statistics file".into()))??;
-    if header != HEADER {
-        return Err(HermesError::Io(format!(
-            "unrecognized statistics header `{header}`"
-        )));
+pub fn load<R: Read>(mut input: R) -> Result<CostVectorDb> {
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    if bytes.is_empty() {
+        return Err(HermesError::Io("empty statistics file".into()));
+    }
+    let mut d = BinDecoder::new(&bytes);
+    if !matches!(d.value(), Ok(Value::Str(h)) if *h == *HEADER) {
+        return Err(HermesError::Io("unrecognized statistics header".into()));
     }
     let mut db = CostVectorDb::new();
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 5 {
-            return Err(HermesError::Io(format!(
-                "statistics line {}: expected 5 fields, got {}",
-                lineno + 2,
-                fields.len()
-            )));
-        }
-        let mut d = Decoder::new(fields[0]);
+    while !d.is_done() {
         let call = d.call()?;
-        let vector = CostVector {
-            t_first_ms: read_component(fields[1], "t_first")?,
-            t_all_ms: read_component(fields[2], "t_all")?,
-            cardinality: read_component(fields[3], "cardinality")?,
+        let mut next = || match d.value()? {
+            Value::Float(x) => Ok(Some(x)),
+            Value::Null => Ok(None),
+            other => Err(HermesError::Io(format!("bad cost component `{other}`"))),
         };
-        let micros: u64 = fields[4].parse().map_err(|e| {
-            HermesError::Io(format!(
-                "statistics line {}: bad timestamp: {e}",
-                lineno + 2
-            ))
-        })?;
+        let vector = CostVector {
+            t_first_ms: next()?,
+            t_all_ms: next()?,
+            cardinality: next()?,
+        };
+        let Value::Int(micros) = d.value()? else {
+            return Err(HermesError::Io(format!("bad timestamp for {call}")));
+        };
         db.record(
             call,
             vector,
-            SimInstant::EPOCH + SimDuration::from_micros(micros),
+            SimInstant::EPOCH + SimDuration::from_micros(micros as u64),
         );
     }
     Ok(db)
-}
-
-/// Saves to a file path.
-pub fn save_to_path(db: &CostVectorDb, path: &std::path::Path) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    save(db, std::io::BufWriter::new(file))
-}
-
-/// Loads from a file path.
-pub fn load_from_path(path: &std::path::Path) -> Result<CostVectorDb> {
-    let file = std::fs::File::open(path)?;
-    load(std::io::BufReader::new(file))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vectordb::figure2_database;
-    use hermes_common::{CallPattern, PatArg, Value};
+    use hermes_common::{CallPattern, GroundCall, PatArg};
+
+    fn saved(db: &CostVectorDb) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save(db, &mut buf).unwrap();
+        buf
+    }
 
     #[test]
     fn roundtrip_preserves_aggregates_exactly() {
         let db = figure2_database();
-        let mut buf = Vec::new();
-        save(&db, &mut buf).unwrap();
-        let loaded = load(std::io::Cursor::new(&buf)).unwrap();
+        let loaded = load(saved(&db).as_slice()).unwrap();
         assert_eq!(loaded.len(), db.len());
         for (domain, function) in db.functions() {
             assert_eq!(
@@ -145,10 +110,16 @@ mod tests {
     }
 
     #[test]
+    fn save_is_deterministic() {
+        let db = figure2_database();
+        assert_eq!(saved(&db), saved(&db));
+    }
+
+    #[test]
     fn partial_vectors_roundtrip() {
         let mut db = CostVectorDb::new();
         db.record(
-            hermes_common::GroundCall::new("d", "f", vec![]),
+            GroundCall::new("d", "f", vec![]),
             CostVector {
                 t_first_ms: Some(1.25),
                 t_all_ms: None,
@@ -156,9 +127,7 @@ mod tests {
             },
             SimInstant::EPOCH,
         );
-        let mut buf = Vec::new();
-        save(&db, &mut buf).unwrap();
-        let loaded = load(std::io::Cursor::new(&buf)).unwrap();
+        let loaded = load(saved(&db).as_slice()).unwrap();
         let r = &loaded.records_for("d", "f")[0];
         assert_eq!(r.vector.t_first_ms, Some(1.25));
         assert_eq!(r.vector.t_all_ms, None);
@@ -166,21 +135,22 @@ mod tests {
 
     #[test]
     fn header_and_shape_validation() {
-        assert!(load(std::io::Cursor::new(b"wrong\n".as_slice())).is_err());
-        let bad = format!("{HEADER}\nS1:dS1:fA0;\tzz\t-\t-\t0\n");
-        assert!(load(std::io::Cursor::new(bad.as_bytes())).is_err());
-        let short = format!("{HEADER}\nS1:dS1:fA0;\t-\t-\n");
-        assert!(load(std::io::Cursor::new(short.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("hermes-dcsm-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.txt");
-        save_to_path(&figure2_database(), &path).unwrap();
-        let loaded = load_from_path(&path).unwrap();
-        assert_eq!(loaded.len(), 13);
-        std::fs::remove_dir_all(&dir).ok();
+        for file in [b"wrong".as_slice(), b"hermes-cost-vector-db v1\n"] {
+            let err = load(file).unwrap_err();
+            assert!(
+                matches!(&err, HermesError::Io(m) if m.contains("header")),
+                "{err}"
+            );
+        }
+        assert!(load(b"".as_slice())
+            .unwrap_err()
+            .to_string()
+            .contains("empty"));
+        // A record cut after its call, then one with a non-float component.
+        let mut bad = saved(&CostVectorDb::new());
+        put_call(&GroundCall::new("d", "f", vec![]), &mut bad);
+        assert!(load(bad.as_slice()).is_err());
+        put_value(&Value::str("zz"), &mut bad);
+        assert!(load(bad.as_slice()).is_err());
     }
 }
